@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
+#include "opt/golden.hpp"
 #include "sched/schedule.hpp"
 #include "util/error.hpp"
 
@@ -13,7 +13,6 @@ namespace reclaim::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kGolden = 0.6180339887498949;
 /// Strict-improvement guard: ties and fp noise never replace the
 /// incumbent, so the race anchor rides through untouched unless the
 /// refinement genuinely wins (mirrors race_to_idle's acceptance).
@@ -79,44 +78,6 @@ double branch_stationary_speed(const model::PowerModel& power,
   const double surplus = power.p_static() - p_branch;
   if (surplus <= 0.0) return 0.0;
   return std::pow(surplus / (power.alpha() - 1.0), 1.0 / power.alpha());
-}
-
-/// Golden-section polish tracking the best point seen — safe on the
-/// piecewise-smooth (break-even kinks) and partially-infeasible (+inf)
-/// objectives the moves produce: a non-unimodal shape can only make the
-/// polish less effective, never return a worse point than it evaluated.
-double golden_best(const std::function<double(double)>& f, double lo,
-                   double hi, std::size_t iters) {
-  double a = hi - kGolden * (hi - lo);
-  double b = lo + kGolden * (hi - lo);
-  double fa = f(a);
-  double fb = f(b);
-  double best_x = fa <= fb ? a : b;
-  double best_f = std::min(fa, fb);
-  for (std::size_t it = 0; it < iters; ++it) {
-    if (fa <= fb) {
-      hi = b;
-      b = a;
-      fb = fa;
-      a = hi - kGolden * (hi - lo);
-      fa = f(a);
-      if (fa < best_f) {
-        best_f = fa;
-        best_x = a;
-      }
-    } else {
-      lo = a;
-      a = b;
-      fa = fb;
-      b = lo + kGolden * (hi - lo);
-      fb = f(b);
-      if (fb < best_f) {
-        best_f = fb;
-        best_x = b;
-      }
-    }
-  }
-  return best_x;
 }
 
 }  // namespace
@@ -197,7 +158,7 @@ JointSleepResult solve_joint_sleep(const Instance& instance,
       for (double s :
            {branch_stationary_speed(power, spec.p_idle),
             branch_stationary_speed(power, spec.p_sleep), lo,
-            golden_best(f_single, lo, hi, options.refine_iters)}) {
+            opt::golden_min(f_single, lo, hi, options.refine_iters).x}) {
         const double clamped = std::clamp(s > 0.0 ? s : lo, lo, hi);
         tmp = cur;
         tmp[v] = clamped;
@@ -253,7 +214,8 @@ JointSleepResult solve_joint_sleep(const Instance& instance,
         candidates[count++] = work / (window - kink);
       }
       if (std::isfinite(cap_p)) candidates[count++] = cap_p;
-      candidates[count++] = golden_best(f_common, lo, hi, options.refine_iters);
+      candidates[count++] =
+          opt::golden_min(f_common, lo, hi, options.refine_iters).x;
       for (std::size_t i = 0; i < count; ++i) {
         const double s = candidates[i];
         with_common(std::clamp(s > 0.0 ? s : lo, lo, hi));
@@ -274,7 +236,8 @@ JointSleepResult solve_joint_sleep(const Instance& instance,
         const Evaluation e = evaluate(tmp);
         return e.feasible ? e.total() : kInf;
       };
-      const double k = golden_best(f_scale, 0.5, 2.0, options.refine_iters);
+      const double k =
+          opt::golden_min(f_scale, 0.5, 2.0, options.refine_iters).x;
       tmp = cur;
       for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
         if (g.weight(v) == 0.0) continue;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "opt/golden.hpp"
 #include "sched/schedule.hpp"
 #include "util/error.hpp"
 
@@ -126,61 +127,35 @@ RaceToIdleResult solve_race_to_idle(const Instance& instance,
   // Log-spaced grid over [1, k_hi], then golden-section refinement around
   // the best bracket. The objective is piecewise smooth (idle/sleep min()
   // kinks as gaps cross the break-even length), so the grid localizes the
-  // basin and the refinement polishes it; both are deterministic.
-  const std::size_t grid = std::max<std::size_t>(options.grid, 2);
-  const double log_hi = std::log(k_hi);
+  // basin and the refinement polishes it; both are deterministic. Every
+  // evaluated factor competes for the answer, grid and refinement alike.
   double best_k = 1.0;
   Evaluation best = crawl_eval;
-  std::size_t best_index = 0;
   std::size_t evals = 1;
-  for (std::size_t i = 1; i < grid; ++i) {
-    const double k = std::exp(log_hi * static_cast<double>(i) /
-                              static_cast<double>(grid - 1));
+  const auto probe = [&](double k) {
     const Evaluation e = eval_at(k);
     ++evals;
     if (e.total() < best.total()) {
       best = e;
       best_k = k;
-      best_index = i;
     }
+    return e.total();
+  };
+  const std::size_t grid = std::max<std::size_t>(options.grid, 2);
+  const double log_hi = std::log(k_hi);
+  const auto grid_k = [&](std::size_t i) {
+    return std::exp(log_hi * static_cast<double>(i) /
+                    static_cast<double>(grid - 1));
+  };
+  std::size_t best_index = 0;
+  for (std::size_t i = 1; i < grid; ++i) {
+    const double before = best.total();
+    probe(grid_k(i));
+    if (best.total() < before) best_index = i;
   }
-  {
-    const auto grid_k = [&](std::size_t i) {
-      return std::exp(log_hi * static_cast<double>(i) /
-                      static_cast<double>(grid - 1));
-    };
-    double lo = best_index == 0 ? 1.0 : grid_k(best_index - 1);
-    double hi = best_index + 1 < grid ? grid_k(best_index + 1) : k_hi;
-    constexpr double kGolden = 0.6180339887498949;
-    double a = hi - kGolden * (hi - lo);
-    double b = lo + kGolden * (hi - lo);
-    Evaluation fa = eval_at(a);
-    Evaluation fb = eval_at(b);
-    evals += 2;
-    for (std::size_t it = 0; it < options.refine_iters; ++it) {
-      if (fa.total() <= fb.total()) {
-        hi = b;
-        b = a;
-        fb = fa;
-        a = hi - kGolden * (hi - lo);
-        fa = eval_at(a);
-      } else {
-        lo = a;
-        a = b;
-        fa = fb;
-        b = lo + kGolden * (hi - lo);
-        fb = eval_at(b);
-      }
-      ++evals;
-    }
-    for (const auto& [k, e] :
-         {std::pair{a, fa}, std::pair{b, fb}}) {
-      if (e.total() < best.total()) {
-        best = e;
-        best_k = k;
-      }
-    }
-  }
+  (void)opt::golden_min(probe, best_index == 0 ? 1.0 : grid_k(best_index - 1),
+                        best_index + 1 < grid ? grid_k(best_index + 1) : k_hi,
+                        options.refine_iters);
   result.solution.iterations += evals;
 
   // Strict improvement only: ties (and fp noise) keep the crawl, so a

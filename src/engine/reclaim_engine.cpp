@@ -7,14 +7,7 @@
 #include <utility>
 
 #include "core/continuous/batch_kernels.hpp"
-#include "core/continuous/dispatch.hpp"
-#include "core/continuous/joint_sleep.hpp"
-#include "core/continuous/race_to_idle.hpp"
-#include "core/continuous/sleep_dp.hpp"
-#include "core/discrete/chain_dp.hpp"
-#include "core/discrete/exact_bb.hpp"
-#include "core/discrete/round_up.hpp"
-#include "core/vdd/lp_solver.hpp"
+#include "core/solve.hpp"
 #include "engine/instance_key.hpp"
 #include "util/annotated_mutex.hpp"
 #include "util/arena.hpp"
@@ -89,171 +82,82 @@ ReclaimEngine::ShapeEntry ReclaimEngine::shape_of(const graph::Digraph& g) {
   return shapes_.emplace(key, std::move(entry)).first->second;
 }
 
-core::Solution ReclaimEngine::dispatch(const core::Instance& instance,
-                                       const model::EnergyModel& model,
-                                       const core::SolveOptions& options) {
-  // The Vdd LP is shape-independent; skip the structural analysis.
-  if (const auto* vdd = std::get_if<model::VddHoppingModel>(&model)) {
-    return core::solve_vdd_lp(instance, *vdd).solution;
-  }
-
-  const ShapeEntry entry = shape_of(instance.exec_graph);
-  const graph::GraphShape shape = entry.shape;
-
-  const auto solve_modes = [&](const model::ModeSet& modes) -> core::Solution {
-    const std::size_t n = instance.exec_graph.num_nodes();
-    if (n <= options.exact_discrete_up_to) {
-      return core::solve_discrete_exact(instance, modes).solution;
-    }
-    // exact_discrete_up_to == 0 means "force CONT-ROUND" (callers
-    // validating Theorem 5 rely on it), so it disables the DP route too.
-    if (options_.chain_dp && options.exact_discrete_up_to > 0 &&
-        (shape == graph::GraphShape::kChain ||
-         shape == graph::GraphShape::kSingleTask)) {
-      return core::solve_chain_dp(instance, modes).solution;
-    }
-    core::RoundUpOptions round_options;
-    round_options.continuous_rel_gap = options.rel_gap;
-    return core::solve_round_up(instance, modes, round_options).solution;
-  };
-
-  return std::visit(
-      [&](const auto& m) -> core::Solution {
-        using M = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<M, model::ContinuousModel>) {
-          if (options.sleep_mode == core::SleepMode::kDp &&
-              instance.platform.has_sleep()) {
-            // The exact single-processor oracle; throws off its
-            // eligibility domain, exactly like the un-cached core route.
-            return core::solve_sleep_dp(instance, m).solution;
-          }
-          core::ContinuousOptions continuous_options;
-          continuous_options.rel_gap = options.rel_gap;
-          continuous_options.s_min = options.continuous_s_min;
-          continuous_options.leakage = options.leakage;
-          continuous_options.shape_hint = shape;
-          continuous_options.sp_hint = entry.sp_tree;
-          if (options_.warm_start && entry.warm) {
-            // Seed from the last numeric solution of this topology. The
-            // solver's acceptance guard rejects stale or infeasible seeds
-            // (falling back to the bit-identical cold solve), so sharing
-            // one slot across a sweep is always safe.
-            {
-              WarmSlot& warm = *entry.warm;
-              const util::MutexLock lock(warm.mutex);
-              continuous_options.warm_start = warm.speeds;
-            }
-            if (continuous_options.warm_start) {
-              warm_solves_.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-          core::Solution s = core::solve_continuous(instance, m, continuous_options);
-          if (options_.warm_start && entry.warm && s.feasible &&
-              !s.speeds.empty() &&
-              (s.method == "numeric-barrier" ||
-               s.method == "numeric-exact-leaky")) {
-            auto snapshot =
-                std::make_shared<const std::vector<double>>(s.speeds);
-            WarmSlot& warm = *entry.warm;
-            const util::MutexLock lock(warm.mutex);
-            warm.speeds = std::move(snapshot);
-          }
-          return s;
-        } else if constexpr (std::is_same_v<M, model::VddHoppingModel>) {
-          return core::solve_vdd_lp(instance, m).solution;  // unreachable
-        } else if constexpr (std::is_same_v<M, model::DiscreteModel>) {
-          return solve_modes(m.modes);
-        } else {
-          static_assert(std::is_same_v<M, model::IncrementalModel>);
-          return solve_modes(m.modes);
-        }
-      },
-      model);
-}
-
-core::Solution ReclaimEngine::solve_routed(const core::Instance& instance,
+core::Solution ReclaimEngine::solve_cached(const core::Instance& instance,
+                                           const sched::Mapping* mapping,
                                            const model::EnergyModel& model,
                                            const core::SolveOptions& options) {
   instances_.fetch_add(1, std::memory_order_relaxed);
   util::require(instance.deadline > 0.0,
                 "ReclaimEngine: instance deadline must be positive");
 
+  // The mapping enters the key only where it changes the answer; every
+  // other mapped instance shares the plain entries.
+  const bool mapped = mapping != nullptr &&
+                      core::mapping_matters(instance, model, options);
   std::string key;
   if (options_.memoize) {
-    key = instance_key(instance, model, options);
+    key = mapped ? mapped_instance_key(instance, *mapping, model, options)
+                 : instance_key(instance, model, options);
     if (auto cached = memo_.get(key)) {
       memo_hits_.fetch_add(1, std::memory_order_relaxed);
       return *std::move(cached);
     }
   }
 
-  core::Solution solution = dispatch(instance, model, options);
+  core::SolveContext context;
+  context.mapping = mapping;
+  std::shared_ptr<WarmSlot> warm;
+  // The Vdd LP is shape-independent; skip the structural analysis.
+  if (!std::holds_alternative<model::VddHoppingModel>(model)) {
+    ShapeEntry entry = shape_of(instance.exec_graph);
+    context.shape_hint = entry.shape;
+    context.sp_hint = std::move(entry.sp_tree);
+    if (entry.warm) {
+      // Seed from the last numeric solution of this topology. The
+      // solver's acceptance guard rejects stale or infeasible seeds
+      // (falling back to the bit-identical cold solve), so sharing one
+      // slot across a sweep is always safe.
+      warm = std::move(entry.warm);
+      const util::MutexLock lock(warm->mutex);
+      context.warm_seed = warm->speeds;
+    }
+  }
+
+  core::Solution solution = core::solve(instance, model, options, &context);
   fresh_solves_.fetch_add(1, std::memory_order_relaxed);
+
+  switch (context.route) {
+    case core::SolveRoute::kContinuous:
+    case core::SolveRoute::kNumeric:
+      if (context.warm_seed) warm_solves_.fetch_add(1, std::memory_order_relaxed);
+      if (warm && context.route == core::SolveRoute::kNumeric &&
+          solution.feasible && !solution.speeds.empty()) {
+        auto snapshot =
+            std::make_shared<const std::vector<double>>(solution.speeds);
+        const util::MutexLock lock(warm->mutex);
+        warm->speeds = std::move(snapshot);
+      }
+      break;
+    case core::SolveRoute::kRaced:
+      raced_solves_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case core::SolveRoute::kCrawl:
+      crawl_solves_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case core::SolveRoute::kJointImproved:
+      joint_improved_.fetch_add(1, std::memory_order_relaxed);
+      [[fallthrough]];
+    case core::SolveRoute::kJoint:
+      joint_solves_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    default:
+      break;
+  }
 
   if (options_.memoize) {
     // Two workers may race on the same key; both computed the identical
     // deterministic solution, so the cache keeps first-in harmlessly and
     // evicts from the LRU end when the entry/byte caps are exceeded.
-    memo_.put(key, solution);
-  }
-  return solution;
-}
-
-core::Solution ReclaimEngine::solve_mapped(const MappedInstance& mapped,
-                                           const model::EnergyModel& model,
-                                           const core::SolveOptions& options) {
-  const auto* continuous = std::get_if<model::ContinuousModel>(&model);
-  if (continuous == nullptr || !mapped.instance.platform.has_sleep() ||
-      options.sleep_mode == core::SleepMode::kDp) {
-    // Without idle charges (or under a mode-based model) the mapping does
-    // not change the optimum: share the plain route and its memo entries.
-    // The exact DP oracle is mapping-independent too (single processor,
-    // one consolidated tail gap), so it shares them as well.
-    return solve_routed(mapped.instance, model, options);
-  }
-
-  instances_.fetch_add(1, std::memory_order_relaxed);
-  util::require(mapped.instance.deadline > 0.0,
-                "ReclaimEngine: instance deadline must be positive");
-
-  std::string key;
-  if (options_.memoize) {
-    key = mapped_instance_key(mapped.instance, mapped.mapping, model, options);
-    if (auto cached = memo_.get(key)) {
-      memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      return *std::move(cached);
-    }
-  }
-
-  core::RaceToIdleOptions race;
-  race.continuous.rel_gap = options.rel_gap;
-  race.continuous.s_min = options.continuous_s_min;
-  race.continuous.leakage = options.leakage;
-  const ShapeEntry entry = shape_of(mapped.instance.exec_graph);
-  race.continuous.shape_hint = entry.shape;
-  race.continuous.sp_hint = entry.sp_tree;
-
-  core::Solution solution;
-  if (options.sleep_mode == core::SleepMode::kJoint) {
-    core::JointSleepOptions joint;
-    joint.race = race;
-    const core::JointSleepResult result = core::solve_joint_sleep(
-        mapped.instance, *continuous, mapped.mapping, joint);
-    joint_solves_.fetch_add(1, std::memory_order_relaxed);
-    if (result.improved) {
-      joint_improved_.fetch_add(1, std::memory_order_relaxed);
-    }
-    solution = result.solution;
-  } else {
-    const core::RaceToIdleResult result = core::solve_race_to_idle(
-        mapped.instance, *continuous, mapped.mapping, race);
-    (result.raced ? raced_solves_ : crawl_solves_)
-        .fetch_add(1, std::memory_order_relaxed);
-    solution = result.solution;
-  }
-  fresh_solves_.fetch_add(1, std::memory_order_relaxed);
-
-  if (options_.memoize) {
     memo_.put(key, solution);
   }
   return solution;
@@ -309,9 +213,62 @@ std::vector<core::Solution> ReclaimEngine::run_batch(
 std::vector<core::Solution> ReclaimEngine::kernel_batch(
     std::size_t n,
     const std::function<const core::Instance&(std::size_t)>& instance_at,
-    const std::function<bool(std::size_t)>& kernel_ok,
-    const model::EnergyModel& model, const core::SolveOptions& options,
-    const std::function<core::Solution(std::size_t)>& solve_scalar) {
+    const std::function<const sched::Mapping*(std::size_t)>& mapping_at,
+    const model::EnergyModel& model, const core::SolveOptions& options) {
+  const auto solve_scalar = [&](std::size_t i) {
+    return solve_cached(instance_at(i), mapping_at(i), model, options);
+  };
+  const auto scalar_batch = [&] {
+    return run_batch(n, [&](std::size_t lo, std::size_t hi,
+                            core::Solution* out) {
+      for (std::size_t k = lo; k < hi; ++k) out[k] = solve_scalar(k);
+    });
+  };
+  if (!options_.use_kernels) return scalar_batch();
+
+  // Mapped sleep-enabled instances take core::solve's sleep stage, which
+  // the kernels do not model; everything else may share a kernel run.
+  const auto kernel_ok = [&](std::size_t i) {
+    return mapping_at(i) == nullptr ||
+           !instance_at(i).platform.has_sleep();
+  };
+  // Plans a run from its head, feeding the planner the shape cache's
+  // analysis (classification, SP tree, composition plan) so a cached
+  // topology is never re-decomposed.
+  const auto plan_run = [&](const core::Instance& head) {
+    core::KernelPlanHints hints;
+    if (options_.reuse_shapes) {
+      const ShapeEntry entry = shape_of(head.exec_graph);
+      hints.shape = entry.shape;
+      hints.sp_tree = entry.sp_tree;
+      hints.comp = entry.comp;
+    }
+    return core::plan_kernel(head, model, options, hints);
+  };
+  // Solves out[lo..hi) (all of one planned run) in a single kernel pass,
+  // bypassing the memo (the kernel is cheaper than a memo probe). An
+  // instance the kernel hands back (floor violation or a cap overrun it
+  // will not adjudicate) is re-solved through the scalar path, which does
+  // its own accounting.
+  const auto solve_segment = [&](const core::KernelPlan& plan,
+                                 const core::Instance** ptrs, std::size_t lo,
+                                 std::size_t hi, core::Solution* out) {
+    core::solve_kernel_run(plan, ptrs, hi - lo, out + lo);
+    std::size_t solved = 0;
+    for (std::size_t k = lo; k < hi; ++k) {
+      if (out[k].method.empty()) {
+        out[k] = solve_scalar(k);
+      } else {
+        ++solved;
+      }
+    }
+    instances_.fetch_add(solved, std::memory_order_relaxed);
+    fresh_solves_.fetch_add(solved, std::memory_order_relaxed);
+    kernel_solves_.fetch_add(solved, std::memory_order_relaxed);
+    kernel_family_[static_cast<std::size_t>(plan.family)].fetch_add(
+        solved, std::memory_order_relaxed);
+  };
+
   // Single-threaded engines take a fused discover/plan/solve pass: each
   // run is kernel-solved right after its compatibility scan, while the
   // instances are still cache-hot — a 20k-instance sweep streams the
@@ -339,35 +296,12 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
         ++j;
       }
       std::optional<core::KernelPlan> plan;
-      if (j - i >= options_.kernel_min_run) {
-        core::KernelPlanHints hints;
-        if (options_.reuse_shapes) {
-          const ShapeEntry entry = shape_of(head.exec_graph);
-          hints.shape = entry.shape;
-          hints.sp_tree = entry.sp_tree;
-          hints.comp = entry.comp;
-        }
-        plan = core::plan_kernel(head, model, options, hints);
-      }
-      if (!plan) {
+      if (j - i >= options_.kernel_min_run) plan = plan_run(head);
+      if (plan) {
+        solve_segment(*plan, ptrs.data(), i, j, out.data());
+      } else {
         for (std::size_t k = i; k < j; ++k) out[k] = solve_scalar(k);
-        i = j;
-        continue;
       }
-      core::solve_kernel_run(*plan, ptrs.data(), j - i, out.data() + i);
-      std::size_t solved = 0;
-      for (std::size_t k = i; k < j; ++k) {
-        if (out[k].method.empty()) {
-          out[k] = solve_scalar(k);
-        } else {
-          ++solved;
-        }
-      }
-      instances_.fetch_add(solved, std::memory_order_relaxed);
-      fresh_solves_.fetch_add(solved, std::memory_order_relaxed);
-      kernel_solves_.fetch_add(solved, std::memory_order_relaxed);
-      kernel_family_[static_cast<std::size_t>(plan->family)].fetch_add(
-          solved, std::memory_order_relaxed);
       i = j;
     }
     return out;
@@ -398,23 +332,10 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
     i = j;
   }
 
-  // Pass 2: plan each run from its head, feeding the planner the shape
-  // cache's analysis (classification, SP tree, composition plan) so a
-  // cached topology is never re-decomposed. Planning a tree/SP run walks
-  // the topology, so independent runs are sharded across the pool.
+  // Pass 2: plan each run from its head. Planning a tree/SP run walks the
+  // topology, so independent runs are sharded across the pool.
   std::vector<std::optional<core::KernelPlan>> run_plans(runs.size());
-  const auto plan_run = [&](std::size_t r) {
-    const core::Instance& head = instance_at(runs[r].begin);
-    core::KernelPlanHints hints;
-    if (options_.reuse_shapes) {
-      const ShapeEntry entry = shape_of(head.exec_graph);
-      hints.shape = entry.shape;
-      hints.sp_tree = entry.sp_tree;
-      hints.comp = entry.comp;
-    }
-    run_plans[r] = core::plan_kernel(head, model, options, hints);
-  };
-  if (pool_ && runs.size() > 1) {
+  if (runs.size() > 1) {
     std::exception_ptr plan_error;
     util::Mutex plan_error_mutex;
     std::vector<std::future<void>> futures;
@@ -422,7 +343,7 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
     for (std::size_t r = 0; r < runs.size(); ++r) {
       futures.push_back(pool_->submit([&, r] {
         try {
-          plan_run(r);
+          run_plans[r] = plan_run(instance_at(runs[r].begin));
         } catch (...) {
           const util::MutexLock lock(plan_error_mutex);
           if (!plan_error) plan_error = std::current_exception();
@@ -431,29 +352,21 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
     }
     for (auto& f : futures) f.get();
     if (plan_error) std::rethrow_exception(plan_error);
-  } else {
-    for (std::size_t r = 0; r < runs.size(); ++r) plan_run(r);
+  } else if (runs.size() == 1) {
+    run_plans[0] = plan_run(instance_at(runs[0].begin));
   }
 
   // plan_of[i] holds (plan index + 1) for kernel-routed instances, 0 for
   // scalar ones; a run the planner rejected stays scalar wholesale.
   std::vector<core::KernelPlan> plans;
   std::vector<std::uint32_t> plan_of(n, 0);
-  bool any_kernel = false;
   for (std::size_t r = 0; r < runs.size(); ++r) {
     if (!run_plans[r]) continue;
     plans.push_back(std::move(*run_plans[r]));
     const auto tag = static_cast<std::uint32_t>(plans.size());
     for (std::size_t k = runs[r].begin; k < runs[r].end; ++k) plan_of[k] = tag;
-    any_kernel = true;
   }
-
-  if (!any_kernel) {
-    return run_batch(n, [&](std::size_t lo, std::size_t hi,
-                            core::Solution* out) {
-      for (std::size_t k = lo; k < hi; ++k) out[k] = solve_scalar(k);
-    });
-  }
+  if (plans.empty()) return scalar_batch();
 
   return run_batch(n, [&](std::size_t lo, std::size_t hi,
                           core::Solution* out) {
@@ -468,32 +381,13 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
         ++k;
         continue;
       }
-      // Contiguous segment of one planned run inside this chunk: solve it
-      // in a single kernel pass, bypassing per-instance dispatch and the
-      // memo (the kernel is cheaper than a memo probe).
+      // Contiguous segment of one planned run inside this chunk.
       std::size_t seg_end = k;
       while (seg_end < hi && plan_of[seg_end] == tag) {
         ptrs[seg_end - k] = &instance_at(seg_end);
         ++seg_end;
       }
-      const core::KernelPlan& plan = plans[tag - 1];
-      core::solve_kernel_run(plan, ptrs.data(), seg_end - k, out + k);
-      std::size_t solved = 0;
-      for (std::size_t s = k; s < seg_end; ++s) {
-        if (out[s].method.empty()) {
-          // Kernel handed the instance back (floor violation or a cap
-          // overrun it will not adjudicate): re-solve through the scalar
-          // path, which does its own accounting.
-          out[s] = solve_scalar(s);
-        } else {
-          ++solved;
-        }
-      }
-      instances_.fetch_add(solved, std::memory_order_relaxed);
-      fresh_solves_.fetch_add(solved, std::memory_order_relaxed);
-      kernel_solves_.fetch_add(solved, std::memory_order_relaxed);
-      kernel_family_[static_cast<std::size_t>(plan.family)].fetch_add(
-          solved, std::memory_order_relaxed);
+      solve_segment(plans[tag - 1], ptrs.data(), k, seg_end, out);
       k = seg_end;
     }
   });
@@ -502,58 +396,34 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
 std::vector<core::Solution> ReclaimEngine::solve_batch(
     std::span<const core::Instance> instances, const model::EnergyModel& model,
     const core::SolveOptions& options) {
-  const auto solve_scalar = [&](std::size_t i) {
-    return solve_routed(instances[i], model, options);
-  };
-  if (!options_.use_kernels) {
-    return run_batch(
-        instances.size(),
-        [&](std::size_t lo, std::size_t hi, core::Solution* out) {
-          for (std::size_t i = lo; i < hi; ++i) out[i] = solve_scalar(i);
-        });
-  }
   return kernel_batch(
       instances.size(),
       [&](std::size_t i) -> const core::Instance& { return instances[i]; },
-      [](std::size_t) { return true; }, model, options, solve_scalar);
+      [](std::size_t) -> const sched::Mapping* { return nullptr; }, model,
+      options);
 }
 
 std::vector<core::Solution> ReclaimEngine::solve_batch(
     std::span<const MappedInstance> instances, const model::EnergyModel& model,
     const core::SolveOptions& options) {
-  const auto solve_scalar = [&](std::size_t i) {
-    return solve_mapped(instances[i], model, options);
-  };
-  if (!options_.use_kernels) {
-    return run_batch(
-        instances.size(),
-        [&](std::size_t lo, std::size_t hi, core::Solution* out) {
-          for (std::size_t i = lo; i < hi; ++i) out[i] = solve_scalar(i);
-        });
-  }
   return kernel_batch(
       instances.size(),
       [&](std::size_t i) -> const core::Instance& {
         return instances[i].instance;
       },
-      [&](std::size_t i) {
-        // Sleep-enabled platforms take the race-to-idle route, which the
-        // kernels do not model; everything else shares the plain route.
-        return !instances[i].instance.platform.has_sleep();
-      },
-      model, options, solve_scalar);
+      [&](std::size_t i) { return &instances[i].mapping; }, model, options);
 }
 
 core::Solution ReclaimEngine::solve_one(const core::Instance& instance,
                                         const model::EnergyModel& model,
                                         const core::SolveOptions& options) {
-  return solve_routed(instance, model, options);
+  return solve_cached(instance, nullptr, model, options);
 }
 
 core::Solution ReclaimEngine::solve_one(const MappedInstance& instance,
                                         const model::EnergyModel& model,
                                         const core::SolveOptions& options) {
-  return solve_mapped(instance, model, options);
+  return solve_cached(instance.instance, &instance.mapping, model, options);
 }
 
 void ReclaimEngine::submit(
@@ -565,7 +435,8 @@ void ReclaimEngine::submit(
   auto run = [this, instance = std::move(instance), model = std::move(model),
               options, done = std::move(done)] {
     try {
-      core::Solution solution = solve_mapped(instance, model, options);
+      core::Solution solution =
+          solve_cached(instance.instance, &instance.mapping, model, options);
       done(std::move(solution), nullptr);
     } catch (...) {
       done(core::Solution{}, std::current_exception());

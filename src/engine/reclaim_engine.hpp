@@ -2,17 +2,20 @@
 //
 // The paper's experiments — and any production deployment — solve large
 // sweeps of independent MinEnergy instances, not one instance at a time.
-// The engine turns core::solve() into a high-throughput batch service:
+// The engine turns core::solve() into a high-throughput batch service. It
+// routes nothing itself: every scalar solve is one core::solve call (the
+// library's one route table, core/solve.hpp), wrapped in sharding, caches
+// and stats:
 //
 //   - solve_batch() shards a span of instances across a ThreadPool using
 //     dynamic (work-stealing-friendly) chunking: workers pull small index
 //     chunks from a shared atomic cursor, so skewed instances (one huge
 //     general DAG among many chains) cannot strand a thread.
-//   - A per-structure dispatch cache classifies each distinct topology
-//     once (graph::classify) and routes chains, trees and series-parallel
-//     graphs straight to their closed-form/DP solvers via
-//     ContinuousOptions::shape_hint, skipping re-classification for
-//     repeated shapes.
+//   - A per-structure shape cache classifies each distinct topology once
+//     (graph::classify, plus the SP decomposition) and hands the result to
+//     core::solve as SolveContext hints, so repeated shapes skip the
+//     structural analysis. The same entry holds the optional warm-start
+//     slot (EngineOptions::warm_start).
 //   - A solution memo keyed by a canonical instance encoding
 //     (engine/instance_key.hpp) returns identical sub-instances of a sweep
 //     without re-solving; memoized results are bit-identical to fresh ones
@@ -20,6 +23,9 @@
 //     under entry and byte caps (engine/solution_cache.hpp), so one
 //     engine can live for days under a solve daemon (tools/reclaim_serve)
 //     and be shared by every client that connects.
+//   - Homogeneous closed-form runs inside a batch go through the batched
+//     kernels (core/continuous/batch_kernels.hpp), bit-identical to the
+//     scalar route.
 //
 // Results are deterministic regardless of thread count: output slot i
 // always holds the solution of instance i, and routing depends only on
@@ -71,9 +77,6 @@ struct EngineOptions {
   std::size_t memo_bytes = 0;
   /// Cache graph::classify results (and SP decompositions) by topology key.
   bool reuse_shapes = true;
-  /// Route Discrete/Incremental chains too large for branch-and-bound to
-  /// the pseudo-polynomial chain DP instead of CONT-ROUND.
-  bool chain_dp = true;
   /// Detect homogeneous closed-form runs inside solve_batch (>=
   /// kKernelMinRun consecutive instances sharing topology, power model
   /// and cap) and solve them through the structure-of-arrays kernels
@@ -147,9 +150,9 @@ struct EngineStats {
 /// A MinEnergy instance together with the mapping its execution graph was
 /// built from. The mapping is what idle-interval accounting needs beyond
 /// the instance's task -> processor assignment (gap enumeration depends on
-/// each processor's execution order), so mapped batches unlock the
-/// engine-integrated race-to-idle route: sleep-enabled continuous
-/// instances are solved crawl-vs-race instead of busy-only.
+/// each processor's execution order), so mapped batches unlock
+/// core::solve's sleep stage: sleep-enabled continuous instances are
+/// solved crawl-vs-race (or jointly) instead of busy-only.
 struct MappedInstance {
   core::Instance instance;
   sched::Mapping mapping{1};
@@ -170,12 +173,12 @@ class ReclaimEngine {
       std::span<const core::Instance> instances, const model::EnergyModel& model,
       const core::SolveOptions& options = {});
 
-  /// Mapped batch: same sharding/caching, plus the engine-integrated
-  /// race-to-idle route — continuous instances whose platform carries a
-  /// sleep spec are solved via core::solve_race_to_idle under their
-  /// mapping (memoized under the mapping-extended key), every other
-  /// instance takes the plain route. EngineStats reports the crawl-vs-
-  /// raced split of the fresh sleep-routed solves.
+  /// Mapped batch: same sharding/caching, with each instance's mapping
+  /// passed to core::solve — continuous instances whose platform carries a
+  /// sleep spec take its sleep stage (race-to-idle, or the joint refiner
+  /// under kJoint), memoized under the mapping-extended key; every other
+  /// instance shares the plain route. EngineStats reports the crawl-vs-
+  /// raced (and joint) split of the fresh sleep-stage solves.
   [[nodiscard]] std::vector<core::Solution> solve_batch(
       std::span<const MappedInstance> instances, const model::EnergyModel& model,
       const core::SolveOptions& options = {});
@@ -185,8 +188,8 @@ class ReclaimEngine {
                                          const model::EnergyModel& model,
                                          const core::SolveOptions& options = {});
 
-  /// Mapped single-instance convenience: the race-to-idle route of the
-  /// mapped solve_batch.
+  /// Mapped single-instance convenience: the route of the mapped
+  /// solve_batch.
   [[nodiscard]] core::Solution solve_one(const MappedInstance& instance,
                                          const model::EnergyModel& model,
                                          const core::SolveOptions& options = {});
@@ -236,15 +239,14 @@ class ReclaimEngine {
     std::shared_ptr<WarmSlot> warm;
   };
 
-  core::Solution solve_routed(const core::Instance& instance,
+  /// The one memo/stats wrapper around core::solve: probes the memo
+  /// (keyed with the mapping only where core::mapping_matters), else
+  /// solves with the shape cache's analysis and warm seed as context hints
+  /// and counts the route core::solve reports. `mapping` may be null.
+  core::Solution solve_cached(const core::Instance& instance,
+                              const sched::Mapping* mapping,
                               const model::EnergyModel& model,
                               const core::SolveOptions& options);
-  core::Solution solve_mapped(const MappedInstance& instance,
-                              const model::EnergyModel& model,
-                              const core::SolveOptions& options);
-  core::Solution dispatch(const core::Instance& instance,
-                          const model::EnergyModel& model,
-                          const core::SolveOptions& options);
   ShapeEntry shape_of(const graph::Digraph& g);
   /// Shared dynamic-chunking drain loop of both solve_batch overloads:
   /// solve_range(lo, hi, out) fills out[lo..hi) (out points at the full
@@ -255,19 +257,19 @@ class ReclaimEngine {
       std::size_t n,
       const std::function<void(std::size_t, std::size_t, core::Solution*)>&
           solve_range);
-  /// Kernel-aware batch driver shared by both solve_batch overloads:
-  /// discovers candidate runs on the caller's thread (cheap structural
-  /// predicates only), plans them — sharded across the pool when there is
-  /// more than one, each plan reusing the shape cache's classification /
-  /// SP decomposition / composition plan for its head topology — then
-  /// drains through run_batch solving kernel segments in one pass per
-  /// chunk and everything else via solve_scalar.
+  /// Batch driver shared by both solve_batch overloads (`mapping_at`
+  /// returns null for plain instances). With kernels on it discovers
+  /// candidate runs on the caller's thread (cheap structural predicates
+  /// only), plans them — sharded across the pool when there is more than
+  /// one, each plan reusing the shape cache's classification / SP
+  /// decomposition / composition plan for its head topology — then drains
+  /// through run_batch solving kernel segments in one pass per chunk and
+  /// everything else via solve_cached.
   std::vector<core::Solution> kernel_batch(
       std::size_t n,
       const std::function<const core::Instance&(std::size_t)>& instance_at,
-      const std::function<bool(std::size_t)>& kernel_ok,
-      const model::EnergyModel& model, const core::SolveOptions& options,
-      const std::function<core::Solution(std::size_t)>& solve_scalar);
+      const std::function<const sched::Mapping*(std::size_t)>& mapping_at,
+      const model::EnergyModel& model, const core::SolveOptions& options);
 
   EngineOptions options_;
   std::unique_ptr<util::ThreadPool> pool_;  ///< null when threads == 1

@@ -59,6 +59,9 @@ struct FuzzTrial {
   std::size_t index = 0;
   core::Instance instance;
   sched::Mapping mapping{1};
+  /// The application graph the mapping schedules, for entry points that
+  /// rebuild the instance themselves (the serve daemon).
+  graph::Digraph app;
 };
 
 struct FuzzOptions {
@@ -101,7 +104,7 @@ inline void run_fuzz(const FuzzOptions& options,
     const double deadline = slack * core::min_deadline(exec, s_ref);
     check(FuzzTrial{
         trial, core::make_instance(std::move(exec), deadline, platform, mapping),
-        mapping});
+        mapping, std::move(app)});
   }
 }
 

@@ -209,7 +209,6 @@ TEST(ReclaimEngine, MatchesSingleShotSolve) {
   const auto instances = mixed_instances(11);
   re::EngineOptions engine_options;
   engine_options.threads = 2;
-  engine_options.chain_dp = false;  // exact parity with core::solve routing
   re::ReclaimEngine engine(engine_options);
 
   const std::vector<rm::EnergyModel> models = {

@@ -26,6 +26,7 @@
 #include "net/wire.hpp"
 #include "sched/execution_graph.hpp"
 #include "sched/list_scheduler.hpp"
+#include "serve_harness.hpp"
 #include "util/rng.hpp"
 
 namespace rn = reclaim::net;
@@ -34,6 +35,7 @@ namespace rg = reclaim::graph;
 namespace rm = reclaim::model;
 namespace rs = reclaim::sched;
 namespace rio = reclaim::io;
+using reclaim::testing::TestConnection;
 
 namespace {
 
@@ -354,43 +356,6 @@ TEST(Framing, WriteRejectsOversizedPayload) {
 }
 
 // ---------------------------------------------------------------- server
-
-/// One live connection to `server` over a socketpair, with the server's
-/// reader on its own thread. The destructor closes the client side
-/// (EOF), joins, and closes the server side.
-struct TestConnection {
-  explicit TestConnection(rn::ReclaimServer& server) {
-    int pair[2] = {-1, -1};
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
-    server_fd = pair[0];
-    client_fd = pair[1];
-    reader = std::thread(
-        [&server, fd = server_fd] { server.serve_stream(fd, fd); });
-    client.emplace(rn::ServeClient::from_fds(client_fd, client_fd));
-  }
-  /// For tests where the *server* ends the connection: joins its reader
-  /// (serve_stream has returned) and closes the server-side fd so the
-  /// client observes EOF. Without this the fd would stay open in this
-  /// process and the client's next read would block forever.
-  void await_server_close() {
-    reader.join();
-    ::close(server_fd);
-    server_fd = -1;
-  }
-  ~TestConnection() {
-    if (reader.joinable()) {
-      ::shutdown(client_fd, SHUT_RDWR);
-      reader.join();
-    }
-    if (server_fd >= 0) ::close(server_fd);
-    ::close(client_fd);
-  }
-
-  int server_fd = -1;
-  int client_fd = -1;
-  std::thread reader;
-  std::optional<rn::ServeClient> client;
-};
 
 TEST(Server, SolveMatchesCoreSolve) {
   rn::ReclaimServer server;

@@ -1,10 +1,16 @@
 // Unit tests for opt/: simplex (vs hand-solved and enumerated LPs),
-// barrier interior point (vs closed-form convex optima), root finding.
+// barrier interior point (vs closed-form convex optima), root finding,
+// golden-section search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "opt/barrier.hpp"
+#include "opt/golden.hpp"
 #include "opt/roots.hpp"
 #include "opt/simplex.hpp"
 #include "util/error.hpp"
@@ -216,4 +222,39 @@ TEST(Roots, RequiresSignChange) {
 TEST(Roots, MonotoneDecreasing) {
   const auto f = [](double x) { return 1.0 - std::exp(x); };
   EXPECT_NEAR(ro::find_root(f, -2.0, 2.0), 0.0, 1e-10);
+}
+
+TEST(Golden, ConvergesOnAUnimodalObjective) {
+  std::size_t calls = 0;
+  const auto f = [&](double x) {
+    ++calls;
+    return (x - 1.3) * (x - 1.3);
+  };
+  const ro::GoldenPoint best = ro::golden_min(f, 0.0, 4.0, 60);
+  EXPECT_NEAR(best.x, 1.3, 1e-8);
+  EXPECT_EQ(best.fx, f(best.x));
+  EXPECT_EQ(calls, 2u + 60u + 1u);  // 2 + iters, plus the check above
+}
+
+TEST(Golden, ReturnsTheBestPointEvaluated) {
+  // +inf on the right half steers the bracket left; a narrow dip the
+  // bracket walks past must still win, because it was evaluated.
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<double, double>> seen;
+  const auto f = [&](double x) {
+    const double v = x > 2.0 ? inf : (std::abs(x - 1.2) < 0.05 ? -1.0 : x);
+    seen.emplace_back(x, v);
+    return v;
+  };
+  const ro::GoldenPoint best = ro::golden_min(f, 0.0, 4.0, 30);
+  double min_seen = inf;
+  for (const auto& [x, v] : seen) min_seen = std::min(min_seen, v);
+  EXPECT_EQ(best.fx, min_seen);
+  // Ties keep the first point evaluated at that value.
+  for (const auto& [x, v] : seen) {
+    if (v == min_seen) {
+      EXPECT_EQ(best.x, x);
+      break;
+    }
+  }
 }

@@ -4,6 +4,7 @@
 
 #include "core/baselines.hpp"
 #include "core/continuous/dispatch.hpp"
+#include "core/discrete/chain_dp.hpp"
 #include "core/discrete/exact_bb.hpp"
 #include "core/problem.hpp"
 #include "core/solve.hpp"
@@ -58,6 +59,54 @@ TEST(Solve, LargeDiscreteFallsBackToRounding) {
   const auto exact = rc::solve(instance, rm::DiscreteModel{modes}, force_exact);
   EXPECT_EQ(exact.method, "discrete-bb");
   EXPECT_LE(exact.energy, disc.energy * (1.0 + 1e-7));
+}
+
+TEST(Solve, LargeChainsTakeTheChainDp) {
+  // Beyond exact_discrete_up_to a chain goes to the pseudo-polynomial
+  // chain DP, whose stated bound is OPT(D) <= E_DP <= OPT(D (1 - 1/K))
+  // (core/discrete/chain_dp.hpp). It is never worse than CONT-ROUND
+  // (exact_discrete_up_to = 0), and on 13-16-task Discrete chains it sits
+  // within that bound of the branch-and-bound optimum. (Incremental's
+  // seven modes exhaust branch-and-bound's node budget at these sizes, so
+  // its answer there is no proven optimum.)
+  Rng rng(84);
+  const rm::ModeSet modes({0.5, 1.0, 1.5, 2.0});
+  const double k = static_cast<double>(rc::ChainDpOptions{}.resolution);
+  for (const std::size_t n : {13, 14, 16, 20, 24, 40}) {
+    for (const rm::EnergyModel& model :
+         {rm::EnergyModel{rm::DiscreteModel{modes}},
+          rm::EnergyModel{rm::IncrementalModel(0.5, 2.0, 0.25)}}) {
+      const auto g = rg::make_chain(n, rng);
+      const double deadline = rc::min_deadline(g, 2.0) * rng.uniform(1.2, 2.5);
+      const auto instance = rc::make_instance(g, deadline);
+      SCOPED_TRACE(std::to_string(n) + " tasks, " +
+                   std::string(rm::model_name(model)));
+
+      const auto dp = rc::solve(instance, model);
+      ASSERT_TRUE(dp.feasible);
+      EXPECT_EQ(dp.method, "chain-dp");
+
+      rc::SolveOptions round_only;
+      round_only.exact_discrete_up_to = 0;
+      const auto rounded = rc::solve(instance, model, round_only);
+      ASSERT_TRUE(rounded.feasible);
+      EXPECT_EQ(rounded.method, "cont-round");
+      EXPECT_LE(dp.energy, rounded.energy * (1.0 + 1e-9));
+
+      if (n > 16 || !std::holds_alternative<rm::DiscreteModel>(model)) continue;
+      rc::SolveOptions exact;
+      exact.exact_discrete_up_to = n;
+      const auto optimum = rc::solve(instance, model, exact);
+      ASSERT_EQ(optimum.method, "discrete-bb");
+      EXPECT_GE(dp.energy, optimum.energy * (1.0 - 1e-9));
+      const auto tightened =
+          rc::solve(rc::make_instance(g, deadline * (1.0 - 1.0 / k)), model,
+                    exact);
+      if (tightened.feasible) {
+        EXPECT_LE(dp.energy, tightened.energy * (1.0 + 1e-9));
+      }
+    }
+  }
 }
 
 TEST(PathStretch, FeasibleAndSandwiched) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-rule linter (CI's rules-check step, next to check_docs.sh). Three
+# Repo-rule linter (CI's rules-check step, next to check_docs.sh). Four
 # rules, each born from a bug class this repo has actually seen or
 # designed against:
 #
@@ -9,9 +9,10 @@
 #      annotated wrappers so Clang's -Wthread-safety can see every lock
 #      (docs/architecture.md, "Concurrency model").
 #
-#   2. memo-key coverage: every field of core::SolveOptions, of the
-#      model::EnergyModel variant structs, and of model::SleepSpec must be
-#      named in src/engine/instance_key.cpp. The PR-2 bug class: add a
+#   2. memo-key coverage: every field of core::SolveOptions, of
+#      core::SolveContext, of the model::EnergyModel variant structs, of
+#      model::SleepSpec and of engine::EngineOptions must be named in
+#      src/engine/instance_key.cpp. The PR-2 bug class: add a
 #      solver-relevant knob, forget the hash line, and two different
 #      instances alias onto one memo entry — the cache silently serves
 #      wrong answers. A field that genuinely must not be hashed gets a
@@ -21,6 +22,12 @@
 #      Exact zero tests are legitimate sentinels ("no work on this node");
 #      comparing against any other literal is a tolerance bug. A
 #      deliberate exception carries `// rule-exempt: float-eq` on the line.
+#
+#   4. one router: src/engine/ may include from core/ only core/solve.hpp,
+#      core/problem.hpp and core/continuous/batch_kernels.hpp. Every route
+#      from (model, shape, options) to a solver lives in core::solve; an
+#      engine that includes a solver header has started a second route
+#      table, and the two drift (docs/architecture.md, "Solver dispatch").
 #
 # Usage: tools/check_rules.sh            lint the repo
 #        tools/check_rules.sh --self-test
@@ -115,6 +122,7 @@ rule_memo_key() {
     done < <(struct_fields "$file" "$name")
   }
   check_struct "$root/src/core/solve.hpp" SolveOptions
+  check_struct "$root/src/core/solve.hpp" SolveContext
   check_struct "$root/src/model/energy_model.hpp" ContinuousModel
   check_struct "$root/src/model/energy_model.hpp" DiscreteModel
   check_struct "$root/src/model/energy_model.hpp" VddHoppingModel
@@ -134,6 +142,21 @@ rule_float_eq() {
     while IFS= read -r hit; do
       say_fail "float-eq: $hit (compare with a tolerance, or mark a" \
                "deliberate exact test '// rule-exempt: float-eq')"
+    done <<< "$hits"
+  fi
+}
+
+# --- 4. one router -----------------------------------------------------
+rule_one_router() {
+  local hits
+  hits=$(grep -nE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"core/' \
+      "$root"/src/engine/*.cpp "$root"/src/engine/*.hpp 2>/dev/null \
+      | grep -vE '"core/(solve|problem|continuous/batch_kernels)\.hpp"')
+  if [ -n "$hits" ]; then
+    while IFS= read -r hit; do
+      say_fail "one-router: $hit (route through core::solve; the engine" \
+               "may include only core/solve.hpp, core/problem.hpp and" \
+               "core/continuous/batch_kernels.hpp)"
     done <<< "$hits"
   fi
 }
@@ -163,6 +186,12 @@ self_test() {
   # 3. equality against a nonzero float literal
   printf 'bool injected(double x) { return x == 1.5; }\n' \
       > "$scratch/src/core/injected.cpp"
+  # 2 again, on the context: a hint field with no hash or exemption line
+  sed -i 's/^struct SolveContext {$/struct SolveContext {\n  int injected_hint = 0;/' \
+      "$scratch/src/core/solve.hpp"
+  # 4. the engine reaching past core::solve for a solver
+  printf '#include "core/discrete/chain_dp.hpp"\n' \
+      > "$scratch/src/engine/injected_router.cpp"
 
   local out status
   out=$(RULES_ROOT="$scratch" "$0" 2>&1)
@@ -175,6 +204,10 @@ self_test() {
       || { echo "self-test: memo-key rule did not fire"; ok=0; }
   echo "$out" | grep -q 'float-eq: .*injected\.cpp' \
       || { echo "self-test: float-eq rule did not fire"; ok=0; }
+  echo "$out" | grep -q 'memo-key: SolveContext::injected_hint' \
+      || { echo "self-test: memo-key rule missed a SolveContext field"; ok=0; }
+  echo "$out" | grep -q 'one-router: .*injected_router\.cpp' \
+      || { echo "self-test: one-router rule did not fire"; ok=0; }
 
   # And the real tree must pass, or the gate blocks every PR.
   if ! RULES_ROOT=. "$0" > /dev/null 2>&1; then
@@ -183,7 +216,7 @@ self_test() {
   fi
 
   if [ "$ok" -eq 1 ]; then
-    echo "rules-check self-test: OK (all 3 rules fire on planted violations)"
+    echo "rules-check self-test: OK (all 4 rules fire on planted violations)"
     exit 0
   fi
   echo "rules-check self-test: FAILED" >&2
@@ -197,6 +230,7 @@ fi
 rule_naked_mutex
 rule_memo_key
 rule_float_eq
+rule_one_router
 
 if [ "$failures" -gt 0 ]; then
   echo "rules-check: $failures problem(s)" >&2
