@@ -71,13 +71,13 @@ class EnergyObjective final : public opt::ConvexObjective {
     }
   }
 
-  void add_hessian(const la::Vector& x, la::Matrix& hess) const override {
+  void add_hessian(const la::Vector& x, la::Vector& diag) const override {
     for (std::size_t i = 0; i < n_; ++i) {
       const double w = weights_[i];
       if (w == 0.0) continue;
       const double d = x[n_ + i];
       const double alpha = alphas_[i];
-      hess(n_ + i, n_ + i) +=
+      diag[n_ + i] +=
           alpha * (alpha - 1.0) * std::pow(w, alpha) / std::pow(d, alpha + 1.0);
     }
   }

@@ -16,6 +16,17 @@ void put_u64(std::string& out, std::uint64_t v) {
   out.append(bytes, sizeof v);
 }
 
+// Ids and counts as LEB128 varints: seven bits a byte, the high bit set
+// on every byte but the last. Self-delimiting, so the encoding stays
+// injective, and a node id below 128 takes one byte instead of eight.
+void put_varint(std::string& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+}
+
 void put_double(std::string& out, double v) {
   // Bit patterns make equal keys imply equal inputs, but the two IEEE
   // zeros are mathematically identical while differing in the sign bit: a
@@ -31,7 +42,7 @@ void put_double(std::string& out, double v) {
 }
 
 void put_modes(std::string& out, const model::ModeSet& modes) {
-  put_u64(out, modes.size());
+  put_varint(out, modes.size());
   for (double s : modes.speeds()) put_double(out, s);
 }
 
@@ -54,21 +65,21 @@ void put_power(std::string& out, const model::PowerModel& power) {
 // solver's answer, so hashing only one processor's model would alias
 // distinct heterogeneous platforms onto one memo entry.
 void put_platform(std::string& out, const core::Instance& instance) {
-  put_u64(out, instance.platform.size());
+  put_varint(out, instance.platform.size());
   for (const model::ProcessorSpec& spec : instance.platform.specs()) {
     put_power(out, spec.power);
     put_double(out, spec.s_max);
   }
-  put_u64(out, instance.assignment.size());
-  for (std::size_t p : instance.assignment) put_u64(out, p);
+  put_varint(out, instance.assignment.size());
+  for (std::size_t p : instance.assignment) put_varint(out, p);
 }
 
 void put_topology(std::string& out, const graph::Digraph& g) {
-  put_u64(out, g.num_nodes());
-  put_u64(out, g.num_edges());
+  put_varint(out, g.num_nodes());
+  put_varint(out, g.num_edges());
   for (const auto& e : g.edges()) {
-    put_u64(out, e.from);
-    put_u64(out, e.to);
+    put_varint(out, e.from);
+    put_varint(out, e.to);
   }
 }
 
@@ -124,7 +135,7 @@ void put_model(std::string& out, const model::EnergyModel& energy_model) {
 
 std::string topology_key(const graph::Digraph& g) {
   std::string key;
-  key.reserve(16 + 16 * g.num_edges());
+  key.reserve(8 + 4 * g.num_edges());
   put_topology(key, g);
   return key;
 }
@@ -134,13 +145,13 @@ std::string instance_key(const core::Instance& instance,
                          const core::SolveOptions& options) {
   const auto& g = instance.exec_graph;
   std::string key;
-  key.reserve(64 + 8 * g.num_nodes() + 16 * g.num_edges());
+  key.reserve(64 + 9 * g.num_nodes() + 4 * g.num_edges());
   put_topology(key, g);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) put_double(key, g.weight(v));
   put_double(key, instance.deadline);
   put_platform(key, instance);
   put_model(key, model);
-  put_u64(key, options.exact_discrete_up_to);
+  put_varint(key, options.exact_discrete_up_to);
   put_double(key, options.rel_gap);
   put_double(key, options.continuous_s_min);
   // One byte per leakage mode: Exact and Reduction answers differ whenever
@@ -173,11 +184,11 @@ std::string mapped_instance_key(const core::Instance& instance,
   // hence the race-to-idle objective) depends on the execution order of
   // each processor's tasks.
   key.push_back('M');
-  put_u64(key, mapping.num_processors());
+  put_varint(key, mapping.num_processors());
   for (std::size_t p = 0; p < mapping.num_processors(); ++p) {
     const auto& tasks = mapping.tasks_on(p);
-    put_u64(key, tasks.size());
-    for (graph::NodeId v : tasks) put_u64(key, v);
+    put_varint(key, tasks.size());
+    for (graph::NodeId v : tasks) put_varint(key, v);
   }
   return key;
 }

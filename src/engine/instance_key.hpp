@@ -19,7 +19,7 @@
 //     assignment).
 //
 // Keys are deterministic byte encodings (doubles by bit pattern with -0.0
-// canonicalized to 0.0 and NaN rejected, sizes as fixed-width integers),
+// canonicalized to 0.0 and NaN rejected, ids and counts as LEB128 varints),
 // so equal keys imply equal inputs — the memo never needs a structural
 // comparison and hash collisions cannot alias results.
 #pragma once

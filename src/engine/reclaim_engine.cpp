@@ -75,6 +75,12 @@ ReclaimEngine::ShapeEntry ReclaimEngine::shape_of(const graph::Digraph& g) {
     // One warm-start slot per cached topology; solves of this shape seed
     // (and are seeded by) each other through it.
     entry.warm = std::make_shared<WarmSlot>();
+  } else if (entry.shape == graph::GraphShape::kGeneral) {
+    // A general DAG's entry would hold only its class: nothing a later
+    // solve could reuse beyond a classify() that costs microseconds next
+    // to the barrier, while a stream of distinct cold DAGs would grow the
+    // cache without bound. It stays uncached.
+    return entry;
   }
   const util::WriteLock lock(shape_mutex_);
   // Two workers may race to fill the same key; keep the first entry so

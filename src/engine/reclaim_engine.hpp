@@ -15,7 +15,8 @@
 //     (graph::classify, plus the SP decomposition) and hands the result to
 //     core::solve as SolveContext hints, so repeated shapes skip the
 //     structural analysis. The same entry holds the optional warm-start
-//     slot (EngineOptions::warm_start).
+//     slot (EngineOptions::warm_start). General DAGs get no entry unless
+//     warm starts need its slot: their class is all it would hold.
 //   - A solution memo keyed by a canonical instance encoding
 //     (engine/instance_key.hpp) returns identical sub-instances of a sweep
 //     without re-solving; memoized results are bit-identical to fresh ones
@@ -143,7 +144,8 @@ struct EngineStats {
   std::size_t memo_bytes = 0;
   std::size_t memo_evictions = 0;
   double memo_oldest_age_s = 0.0;
-  /// Cached topology classifications (the shape/dispatch cache).
+  /// Cached topology classifications (the shape/dispatch cache; general
+  /// DAGs only with warm_start on).
   std::size_t shape_entries = 0;
 };
 
@@ -232,6 +234,7 @@ class ReclaimEngine {
   /// flattened composition plan for tree/SP shapes (shared with the
   /// batched kernels so neither the scalar nor the kernel path re-walks
   /// the topology), plus the warm-start slot when warm starts are enabled.
+  /// shape_of caches a general DAG's entry only for that slot.
   struct ShapeEntry {
     graph::GraphShape shape = graph::GraphShape::kGeneral;
     std::shared_ptr<const graph::SpTree> sp_tree;

@@ -20,10 +20,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-void Matrix::fill(double value) {
-  for (auto& x : data_) x = value;
-}
-
 Vector Matrix::multiply(const Vector& x) const {
   require(x.size() == cols_, "Matrix::multiply: dimension mismatch");
   Vector y(rows_, 0.0);
@@ -68,12 +64,6 @@ Matrix Matrix::transposed() const {
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
   return out;
-}
-
-double Matrix::max_abs() const noexcept {
-  double m = 0.0;
-  for (double x : data_) m = std::max(m, std::abs(x));
-  return m;
 }
 
 double dot(const Vector& a, const Vector& b) {

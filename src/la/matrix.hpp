@@ -1,8 +1,9 @@
 // Dense row-major matrix and BLAS-1/2 style helpers.
 //
-// The optimization substrate needs only a modest dense toolkit: symmetric
-// positive-definite solves for interior-point Newton steps and pivoted LU
-// for general systems. Everything is self-contained (no external BLAS).
+// The optimization substrate needs only a modest dense toolkit: the LP
+// simplex tableau and vector helpers (the interior-point Newton system is
+// sparse; la/sparse_cholesky.hpp). Everything is self-contained (no
+// external BLAS).
 #pragma once
 
 #include <cstddef>
@@ -38,8 +39,6 @@ class Matrix {
 
   [[nodiscard]] static Matrix identity(std::size_t n);
 
-  void fill(double value);
-
   /// y = A x. Requires x.size() == cols(). Result has rows() entries.
   [[nodiscard]] Vector multiply(const Vector& x) const;
 
@@ -50,9 +49,6 @@ class Matrix {
   [[nodiscard]] Matrix multiply(const Matrix& other) const;
 
   [[nodiscard]] Matrix transposed() const;
-
-  /// Max-abs element (used for scale estimates and test tolerances).
-  [[nodiscard]] double max_abs() const noexcept;
 
  private:
   std::size_t rows_ = 0;

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
-#include "la/cholesky.hpp"
+#include "la/sparse_cholesky.hpp"
 #include "util/error.hpp"
 
 namespace reclaim::opt {
@@ -47,25 +48,50 @@ BarrierResult minimize_with_barrier(const ConvexObjective& objective,
   result.x = std::move(x0);
   const auto m = static_cast<double>(ineqs.size());
 
+  // Hessian pattern: the diagonal plus every pair of variables sharing an
+  // inequality. An inequality adds a_k a_k^T / r_k^2; the assembly visits
+  // its ordered term pairs (vi, vj) with vi >= vj, which covers each
+  // symmetric entry once (a repeated variable's cross terms twice, as the
+  // full outer product does), and `slots` lists their storage in that order.
+  std::vector<std::pair<std::size_t, std::size_t>> pattern;
+  for (const auto& ineq : ineqs) {
+    for (std::size_t a = 0; a < ineq.terms.size(); ++a)
+      for (std::size_t b = 0; b < a; ++b)
+        pattern.emplace_back(ineq.terms[a].first, ineq.terms[b].first);
+  }
+  la::SparseCholesky hess(dim, pattern);
+  std::vector<std::size_t> slots;
+  for (const auto& ineq : ineqs) {
+    for (const auto& [vi, ci] : ineq.terms)
+      for (const auto& [vj, cj] : ineq.terms)
+        if (vi >= vj) slots.push_back(hess.slot(vi, vj));
+  }
+  std::vector<std::size_t> diag_slots(dim);
+  for (std::size_t i = 0; i < dim; ++i) diag_slots[i] = hess.slot(i, i);
+
   la::Vector grad(dim);
+  la::Vector diag(dim);
   la::Vector residuals(ineqs.size());
-  la::Matrix hess(dim, dim);
-  la::Vector rhs(dim);
+  la::Vector step(dim);
   la::Vector candidate(dim);
+  const double eps = std::numeric_limits<double>::epsilon();
 
   double t = options.t0;
   for (std::size_t stage = 0; stage < options.max_stages; ++stage) {
     // Newton centering for phi_t.
+    std::size_t stage_steps = 0;
     for (std::size_t it = 0; it < options.max_newton_per_stage; ++it) {
       std::fill(grad.begin(), grad.end(), 0.0);
-      hess.fill(0.0);
+      std::fill(diag.begin(), diag.end(), 0.0);
+      hess.clear();
+      const std::span<double> h = hess.values();
 
       objective.add_gradient(result.x, grad);
       for (auto& g : grad) g *= t;
-      objective.add_hessian(result.x, hess);
-      for (std::size_t r = 0; r < dim; ++r)
-        for (std::size_t c = 0; c < dim; ++c) hess(r, c) *= t;
+      objective.add_hessian(result.x, diag);
+      for (std::size_t i = 0; i < dim; ++i) h[diag_slots[i]] = t * diag[i];
 
+      std::size_t s = 0;
       for (std::size_t k = 0; k < ineqs.size(); ++k) {
         const double r = ineqs[k].residual(result.x);
         util::require_numeric(r > 0.0, "barrier iterate left the domain");
@@ -76,24 +102,29 @@ BarrierResult minimize_with_barrier(const ConvexObjective& objective,
         for (const auto& [vi, ci] : ineqs[k].terms) {
           grad[vi] += ci * inv;
           for (const auto& [vj, cj] : ineqs[k].terms) {
-            hess(vi, vj) += ci * cj * inv2;
+            if (vi >= vj) h[slots[s++]] += ci * cj * inv2;
           }
         }
       }
 
       // Newton direction: hess dx = -grad, with a jitter fallback for
       // nearly singular Hessians.
-      la::Vector step;
-      {
-        const double jitter = 1e-12 * std::max(1.0, hess.max_abs());
-        const la::Cholesky chol(hess, jitter);
-        for (std::size_t i = 0; i < dim; ++i) rhs[i] = -grad[i];
-        step = chol.solve(rhs);
-      }
+      double max_abs = 0.0;
+      for (double v : h) max_abs = std::max(max_abs, std::abs(v));
+      hess.factor(1e-12 * std::max(1.0, max_abs));
+      for (std::size_t i = 0; i < dim; ++i) step[i] = -grad[i];
+      hess.solve(step);
 
       const double decrement2 = -la::dot(grad, step);
+      const double phi0 = barrier_value(objective, ineqs, t, result.x);
       ++result.newton_steps;
-      if (decrement2 * 0.5 <= options.newton_tol) break;
+      ++stage_steps;
+      // Stop once the predicted decrease is below newton_tol or below what
+      // a double resolves in phi_t (see barrier.hpp).
+      if (decrement2 * 0.5 <=
+          std::max(options.newton_tol, eps * std::abs(phi0))) {
+        break;
+      }
 
       // Largest step that keeps all residuals positive.
       double step_max = 1.0;
@@ -104,7 +135,6 @@ BarrierResult minimize_with_barrier(const ConvexObjective& objective,
       }
 
       // Backtracking line search on phi_t.
-      const double phi0 = barrier_value(objective, ineqs, t, result.x);
       double sigma = step_max;
       for (std::size_t bt = 0; bt < 80; ++bt) {
         for (std::size_t i = 0; i < dim; ++i)
@@ -115,6 +145,7 @@ BarrierResult minimize_with_barrier(const ConvexObjective& objective,
       }
       for (std::size_t i = 0; i < dim; ++i) result.x[i] += sigma * step[i];
     }
+    result.max_stage_steps = std::max(result.max_stage_steps, stage_steps);
 
     result.objective = objective.value(result.x);
     result.gap = m / t;

@@ -6,6 +6,22 @@
 // over a polyhedron — the "geometric programming" observation of the paper
 // (Section 2.1, citing Boyd-Vandenberghe). A textbook barrier method with
 // Newton centering is exact to the requested duality gap.
+//
+// Each inequality couples only the variables it names (at most three on an
+// execution DAG), so the Newton system is sparse: its pattern is analysed
+// once per call (la/sparse_cholesky.hpp) and every step runs only a numeric
+// factorization into preallocated storage.
+//
+// Centering stops when the Newton decrement satisfies
+//
+//   lambda^2 / 2 <= max(newton_tol, eps * |phi_t(x)|)
+//
+// (eps the double epsilon). lambda^2 / 2 is the decrease a full Newton step
+// predicts for phi_t; once it falls below what a double can resolve in
+// phi_t, no line search can verify a further step. At high barrier weights
+// (t ~ 1e8, phi_t ~ 1e11) the fixed tolerance alone is below that
+// resolution, and each such stage would spin to max_newton_per_stage on
+// steps that change nothing.
 #pragma once
 
 #include <cstddef>
@@ -16,16 +32,16 @@
 
 namespace reclaim::opt {
 
-/// Smooth convex objective with caller-supplied derivatives. The Hessian
-/// contribution is *added* into the KKT matrix so barrier terms can share
-/// the same buffer.
+/// Smooth separable convex objective with caller-supplied derivatives: its
+/// Hessian is diagonal, and add_hessian *adds* that diagonal into `diag`
+/// (one entry per variable).
 class ConvexObjective {
  public:
   virtual ~ConvexObjective() = default;
 
   [[nodiscard]] virtual double value(const la::Vector& x) const = 0;
   virtual void add_gradient(const la::Vector& x, la::Vector& grad) const = 0;
-  virtual void add_hessian(const la::Vector& x, la::Matrix& hess) const = 0;
+  virtual void add_hessian(const la::Vector& x, la::Vector& diag) const = 0;
 };
 
 /// One inequality `terms . x <= rhs` with a sparse coefficient list.
@@ -52,6 +68,7 @@ struct BarrierResult {
   la::Vector x;
   double objective = 0.0;
   std::size_t newton_steps = 0;
+  std::size_t max_stage_steps = 0;  ///< Newton steps of the longest stage
   double gap = 0.0;              ///< final duality-gap bound m/t
 };
 

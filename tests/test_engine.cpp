@@ -6,7 +6,9 @@
 #include <atomic>
 #include <future>
 #include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.hpp"
@@ -16,6 +18,8 @@
 #include "engine/reclaim_engine.hpp"
 #include "graph/generators.hpp"
 #include "model/energy_model.hpp"
+#include "model/platform.hpp"
+#include "sched/mapping.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -117,6 +121,78 @@ TEST(InstanceKey, DistinguishesSleepSpecFields) {
             key(base.with_sleep(rm::make_sleep_spec(0.0, 1.0, 0.0))));
   EXPECT_NE(key(base.with_sleep(rm::make_sleep_spec(0.0, 1.0, 0.0))),
             key(base.with_sleep(rm::make_sleep_spec(0.0, 0.0, 1.0))));
+}
+
+TEST(InstanceKey, VarintIdsAndCountsStayInjective) {
+  // Ids and counts are LEB128 varints: one byte below 128, two below
+  // 16384, three from 16384. Counts on either side of each boundary must
+  // encode apart, and so must ids.
+  const auto nodes_key = [](std::size_t n) {
+    return re::topology_key(rg::Digraph(n));
+  };
+  EXPECT_EQ(nodes_key(127).size(), 2u);  // node count + edge count
+  EXPECT_EQ(nodes_key(128).size(), 3u);
+  EXPECT_EQ(nodes_key(16384).size(), 4u);
+  EXPECT_NE(nodes_key(127), nodes_key(128));
+  EXPECT_NE(nodes_key(128), nodes_key(16384));
+  EXPECT_NE(nodes_key(127), nodes_key(16384));
+
+  const auto edge_key = [](rg::NodeId from, rg::NodeId to) {
+    rg::Digraph g(16385);
+    g.add_edge(from, to);
+    return re::topology_key(g);
+  };
+  const std::vector<rg::NodeId> ids = {0, 127, 128, 16383, 16384};
+  std::vector<std::string> keys;
+  for (rg::NodeId a : ids)
+    for (rg::NodeId b : ids)
+      if (a < b) keys.push_back(edge_key(a, b));
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    for (std::size_t j = i + 1; j < keys.size(); ++j)
+      EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
+}
+
+TEST(InstanceKey, OneEdgeOrOneMappingListApartNeverShareAKey) {
+  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
+  const rc::SolveOptions opts;
+  // Same node count, weights and deadline; the one edge moves.
+  std::vector<std::string> keys;
+  for (const auto& [from, to] : std::vector<std::pair<rg::NodeId, rg::NodeId>>{
+           {0, 2}, {1, 2}, {0, 1}, {2, 3}, {1, 3}}) {
+    rg::Digraph g(4);
+    g.add_edge(from, to);
+    keys.push_back(re::instance_key(rc::make_instance(g, 10.0), cont, opts));
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    for (std::size_t j = i + 1; j < keys.size(); ++j)
+      EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
+
+  // One instance, mappings that differ in one list (membership or order).
+  const auto instance = rc::make_instance(rg::Digraph(3), 10.0);
+  const std::vector<std::vector<std::vector<rg::NodeId>>> lists = {
+      {{0, 1}, {2}}, {{1, 0}, {2}}, {{0}, {1, 2}}, {{0}, {2, 1}},
+      {{0, 1, 2}, {}}, {{}, {0, 1, 2}}};
+  std::vector<std::string> mapped;
+  for (const auto& l : lists) {
+    mapped.push_back(re::mapped_instance_key(
+        instance, reclaim::sched::Mapping(l), cont, opts));
+  }
+  for (std::size_t i = 0; i < mapped.size(); ++i)
+    for (std::size_t j = i + 1; j < mapped.size(); ++j)
+      EXPECT_NE(mapped[i], mapped[j]) << i << " vs " << j;
+
+  // And assignments that differ in one task's processor.
+  const auto platform = rm::Platform::uniform(130, rm::PowerModel());
+  std::vector<std::size_t> assignment(3, 0);
+  const auto assigned_key = [&](std::size_t p) {
+    assignment[2] = p;
+    return re::instance_key(
+        rc::make_instance(rg::Digraph(3), 10.0, platform, assignment), cont,
+        opts);
+  };
+  EXPECT_NE(assigned_key(1), assigned_key(127));
+  EXPECT_NE(assigned_key(127), assigned_key(128));
+  EXPECT_NE(assigned_key(1), assigned_key(128));
 }
 
 TEST(InstanceKey, CanonicalizesNegativeZeroAndRejectsNaN) {
@@ -264,25 +340,70 @@ TEST(ReclaimEngine, MemoHitIsBitIdenticalToFreshSolve) {
 }
 
 TEST(ReclaimEngine, DispatchCacheReusesShapes) {
-  // Same topology, different weights/deadlines: the memo cannot help, the
-  // shape cache must.
+  // Same series-parallel topology, different weights/deadlines: the memo
+  // cannot help, the shape cache must.
   reclaim::util::Rng rng(41);
   std::vector<rc::Instance> instances;
-  for (int k = 0; k < 8; ++k) {
-    auto g = rg::make_stencil(3, 3, rng);  // same 3x3 wavefront topology
-    const double d_min = rc::min_deadline(g, 1.0);
-    instances.push_back(rc::make_instance(std::move(g), (1.2 + 0.1 * k) * d_min));
+  for (int k = 0; k < 9; ++k) {
+    auto g = rg::make_fork_join_chain(2, 3, rng);  // same SP topology
+    const double d = (1.2 + 0.1 * k) * rc::min_deadline(g, 1.0);
+    instances.push_back(rc::make_instance(std::move(g), d));
   }
+  const rc::Instance primer = instances.back();
+  instances.pop_back();
   re::EngineOptions engine_options;
   engine_options.threads = 1;
+  engine_options.use_kernels = false;  // every instance takes the scalar path
   re::ReclaimEngine engine(engine_options);
+  // The primer's solve misses and classifies the topology once.
+  (void)engine.solve_one(primer, rm::ContinuousModel{2.0}, {});
   const auto batch = engine.solve_batch(instances, rm::ContinuousModel{2.0});
   for (const auto& s : batch) EXPECT_TRUE(s.feasible);
   const auto stats = engine.stats();
-  EXPECT_EQ(stats.fresh_solves, instances.size());
-  // Classified once — by the kernel planner probing the run's head (the
-  // planner then rejects the family), so every scalar solve is a hit.
+  EXPECT_EQ(stats.fresh_solves, instances.size() + 1);
+  EXPECT_EQ(stats.shape_entries, 1u);
   EXPECT_EQ(stats.shape_hits, instances.size());
+}
+
+TEST(ReclaimEngine, GeneralDagsLeaveNoShapeEntry) {
+  // A general DAG's shape entry would hold only its class, so the engine
+  // keeps none (unless warm starts need the slot): eight solves of one
+  // stencil topology leave the shape cache empty and answer bit for bit
+  // what an engine without a shape cache answers.
+  reclaim::util::Rng rng(42);
+  std::vector<rc::Instance> instances;
+  for (int k = 0; k < 8; ++k) {
+    auto g = rg::make_stencil(3, 3, rng);  // same 3x3 wavefront topology
+    const double d = (1.2 + 0.1 * k) * rc::min_deadline(g, 1.0);
+    instances.push_back(rc::make_instance(std::move(g), d));
+  }
+  const rm::EnergyModel model = rm::ContinuousModel{2.0};
+  re::EngineOptions cached_options;
+  cached_options.threads = 1;
+  re::EngineOptions uncached_options = cached_options;
+  uncached_options.reuse_shapes = false;
+  re::ReclaimEngine cached(cached_options);
+  re::ReclaimEngine uncached(uncached_options);
+  for (const auto& instance : instances) {
+    const auto a = cached.solve_one(instance, model, {});
+    const auto b = uncached.solve_one(instance, model, {});
+    EXPECT_EQ(a.method, "numeric-barrier");
+    expect_identical(a, b);
+  }
+  const auto stats = cached.stats();
+  EXPECT_EQ(stats.fresh_solves, instances.size());
+  EXPECT_EQ(stats.shape_entries, 0u);
+  EXPECT_EQ(stats.shape_hits, 0u);
+
+  // With warm starts on, the entry exists for its warm slot.
+  re::EngineOptions warm_options = cached_options;
+  warm_options.warm_start = true;
+  re::ReclaimEngine warm(warm_options);
+  for (const auto& instance : instances) {
+    (void)warm.solve_one(instance, model, {});
+  }
+  EXPECT_EQ(warm.stats().shape_entries, 1u);
+  EXPECT_EQ(warm.stats().shape_hits, instances.size() - 1);
 }
 
 TEST(ReclaimEngine, ChainDpRoutesLargeDiscreteChains) {

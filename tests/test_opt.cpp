@@ -1,18 +1,24 @@
 // Unit tests for opt/: simplex (vs hand-solved and enumerated LPs),
-// barrier interior point (vs closed-form convex optima), root finding,
+// barrier interior point (vs closed-form convex optima, and its step
+// budget on the Continuous-model programs of general execution DAGs),
 // golden-section search.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "core/problem.hpp"
+#include "graph/generators.hpp"
+#include "graph/topo.hpp"
 #include "opt/barrier.hpp"
 #include "opt/golden.hpp"
-#include "opt/roots.hpp"
 #include "opt/simplex.hpp"
+#include "sched/execution_graph.hpp"
+#include "sched/list_scheduler.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -144,8 +150,8 @@ class Quadratic final : public ro::ConvexObjective {
     for (std::size_t i = 0; i < centers_.size(); ++i)
       grad[i] += 2.0 * (x[i] - centers_[i]);
   }
-  void add_hessian(const la::Vector&, la::Matrix& hess) const override {
-    for (std::size_t i = 0; i < centers_.size(); ++i) hess(i, i) += 2.0;
+  void add_hessian(const la::Vector&, la::Vector& diag) const override {
+    for (std::size_t i = 0; i < centers_.size(); ++i) diag[i] += 2.0;
   }
 
  private:
@@ -199,29 +205,115 @@ TEST(Barrier, ReportsGapAndSteps) {
   ineqs.push_back({{{0ul, 1.0}}, 3.0});
   const auto result = ro::minimize_with_barrier(f, ineqs, la::Vector{1.5});
   EXPECT_GT(result.newton_steps, 0u);
+  EXPECT_GE(result.max_stage_steps, 1u);
+  EXPECT_LE(result.max_stage_steps, result.newton_steps);
   EXPECT_LE(result.gap, 1e-9 * 1.0 + 1e-9);
 }
 
-TEST(Roots, FindsSimpleRoot) {
-  const auto f = [](double x) { return x * x - 2.0; };
-  const double root = ro::find_root(f, 0.0, 2.0);
-  EXPECT_NEAR(root, std::sqrt(2.0), 1e-10);
+namespace {
+
+/// sum w_i^alpha / d_i^(alpha-1) over the duration variables x[n..2n) of
+/// the Continuous-model program (core/continuous/numeric_solver.hpp).
+class DynamicEnergy final : public ro::ConvexObjective {
+ public:
+  DynamicEnergy(const reclaim::graph::Digraph& g, double alpha)
+      : g_(g), alpha_(alpha) {}
+
+  double value(const la::Vector& x) const override {
+    double e = 0.0;
+    for (std::size_t i = 0; i < n(); ++i) {
+      const double d = x[n() + i];
+      if (d <= 0.0) return std::numeric_limits<double>::infinity();
+      e += std::pow(g_.weight(i), alpha_) / std::pow(d, alpha_ - 1.0);
+    }
+    return e;
+  }
+  void add_gradient(const la::Vector& x, la::Vector& grad) const override {
+    for (std::size_t i = 0; i < n(); ++i)
+      grad[n() + i] += -(alpha_ - 1.0) * std::pow(g_.weight(i), alpha_) /
+                       std::pow(x[n() + i], alpha_);
+  }
+  void add_hessian(const la::Vector& x, la::Vector& diag) const override {
+    for (std::size_t i = 0; i < n(); ++i)
+      diag[n() + i] += alpha_ * (alpha_ - 1.0) *
+                       std::pow(g_.weight(i), alpha_) /
+                       std::pow(x[n() + i], alpha_ + 1.0);
+  }
+
+ private:
+  std::size_t n() const { return g_.num_nodes(); }
+  const reclaim::graph::Digraph& g_;
+  double alpha_;
+};
+
+/// Runs the barrier on the Continuous-model program of `app` list-scheduled
+/// on 3 processors with D = 1.5x its minimum deadline at s_max = 2: the
+/// constraints and the uniform-speed start of solve_numeric.
+ro::BarrierResult solve_dag_program(const reclaim::graph::Digraph& app,
+                                    const ro::BarrierOptions& options) {
+  namespace rg = reclaim::graph;
+  const rg::Digraph g = reclaim::sched::build_execution_graph(
+      app, reclaim::sched::list_schedule(app, 3).mapping);
+  const std::size_t n = g.num_nodes();
+  const double s_max = 2.0;
+  const double deadline = 1.5 * reclaim::core::min_deadline(g, s_max);
+  std::vector<ro::SparseInequality> ineqs;
+  for (const rg::Edge& e : g.edges())
+    ineqs.push_back({{{e.from, 1.0}, {n + e.to, 1.0}, {e.to, -1.0}}, 0.0});
+  for (std::size_t v = 0; v < n; ++v) {
+    ineqs.push_back({{{n + v, 1.0}, {v, -1.0}}, 0.0});
+    ineqs.push_back({{{v, 1.0}}, deadline});
+    ineqs.push_back({{{n + v, -1.0}}, -g.weight(v) / s_max});
+  }
+  const double critical = reclaim::core::critical_weight(g);
+  const double s_start = std::sqrt(critical / deadline * s_max);
+  const double pad =
+      (deadline - critical / s_start) / (8.0 * static_cast<double>(n + 1));
+  la::Vector x0(2 * n, 0.0);
+  std::vector<double> earliest(n, 0.0);
+  std::size_t position = 0;
+  const auto order = rg::topological_order(g);
+  for (rg::NodeId v : *order) {
+    double start = 0.0;
+    for (rg::NodeId p : g.predecessors(v)) start = std::max(start, earliest[p]);
+    earliest[v] = start + g.weight(v) / s_start;
+    x0[v] = earliest[v] + pad * static_cast<double>(++position);
+    x0[n + v] = g.weight(v) / s_start;
+  }
+  const DynamicEnergy f(g, 3.0);
+  return ro::minimize_with_barrier(f, ineqs, std::move(x0), options);
 }
 
-TEST(Roots, EndpointRoots) {
-  const auto f = [](double x) { return x; };
-  EXPECT_DOUBLE_EQ(ro::find_root(f, 0.0, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(ro::find_root(f, -1.0, 0.0), 0.0);
-}
+}  // namespace
 
-TEST(Roots, RequiresSignChange) {
-  const auto f = [](double x) { return x * x + 1.0; };
-  EXPECT_THROW((void)ro::find_root(f, -1.0, 1.0), reclaim::InvalidArgument);
-}
-
-TEST(Roots, MonotoneDecreasing) {
-  const auto f = [](double x) { return 1.0 - std::exp(x); };
-  EXPECT_NEAR(ro::find_root(f, -2.0, 2.0), 0.0, 1e-10);
+TEST(Barrier, GeneralDagProgramsConvergeWithinTheStepBudget) {
+  // The five general-DAG families a cold solve service sees, ~16 to ~96
+  // tasks. Every stage must end on the Newton decrement, not on the
+  // per-stage cap, and the whole solve stay within 150 steps.
+  namespace rg = reclaim::graph;
+  reclaim::util::Rng rng(2024);
+  std::vector<rg::Digraph> apps;
+  for (std::size_t k : {4u, 8u}) {
+    apps.push_back(rg::make_layered(k, 4, 0.3, rng));
+    apps.push_back(rg::make_stencil(4, k, rng));
+    apps.push_back(rg::make_tiled_cholesky(k / 2 + 2));
+    apps.push_back(rg::make_fft(k / 4 + 1));
+    apps.push_back(rg::make_erdos_renyi_dag(4 * k, 1.0 / k, rng));
+  }
+  apps.push_back(rg::make_layered(12, 8, 0.3, rng));
+  apps.push_back(rg::make_stencil(8, 12, rng));
+  apps.push_back(rg::make_tiled_cholesky(7));
+  apps.push_back(rg::make_fft(4));
+  apps.push_back(rg::make_erdos_renyi_dag(96, 4.0 / 96.0, rng));
+  const ro::BarrierOptions options;
+  for (std::size_t a = 0; a < apps.size(); ++a) {
+    const ro::BarrierResult r = solve_dag_program(apps[a], options);
+    SCOPED_TRACE("dag " + std::to_string(a) + ", " +
+                 std::to_string(apps[a].num_nodes()) + " tasks");
+    EXPECT_LT(r.max_stage_steps, options.max_newton_per_stage);
+    EXPECT_LE(r.newton_steps, 150u);
+    EXPECT_LE(r.gap, options.rel_gap * std::max(1.0, std::abs(r.objective)));
+  }
 }
 
 TEST(Golden, ConvergesOnAUnimodalObjective) {

@@ -2,6 +2,8 @@
 // and the energy/deadline tradeoff utilities.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/baselines.hpp"
 #include "core/continuous/dispatch.hpp"
 #include "core/discrete/chain_dp.hpp"
@@ -105,6 +107,39 @@ TEST(Solve, LargeChainsTakeTheChainDp) {
       if (tightened.feasible) {
         EXPECT_LE(dp.energy, tightened.energy * (1.0 + 1e-9));
       }
+    }
+  }
+}
+
+TEST(Solve, ForcedBarrierMatchesTheClosedForms) {
+  // The sparse barrier, stopped by the precision-aware centering rule,
+  // must reach the paper's closed-form optima (chain, fork, tree and SP
+  // shapes) within the solver stack's shared feasibility tolerance.
+  Rng rng(85);
+  for (int trial = 0; trial < 4; ++trial) {
+    const struct {
+      rg::Digraph graph;
+      const char* expected;
+    } cases[] = {
+        {rg::make_chain(8 + trial, rng), "closed-form-chain"},
+        {rg::make_fork(5 + trial, rng), "closed-form-fork"},
+        {rg::make_random_out_tree(12 + trial, rng), "tree"},
+        {rg::make_random_series_parallel(12 + trial, rng), "series-parallel"},
+    };
+    for (const auto& c : cases) {
+      const double d = rc::min_deadline(c.graph, 2.0) * (1.5 + 0.5 * trial);
+      const auto instance = rc::make_instance(c.graph, d);
+      const rm::ContinuousModel model{std::numeric_limits<double>::infinity()};
+      const auto closed = rc::solve_continuous(instance, model);
+      ASSERT_EQ(closed.method, c.expected);
+      rc::ContinuousOptions force;
+      force.force_numeric = true;
+      const auto numeric = rc::solve_continuous(instance, model, force);
+      ASSERT_TRUE(closed.feasible && numeric.feasible) << c.expected;
+      EXPECT_EQ(numeric.method, "numeric-barrier");
+      EXPECT_NEAR(numeric.energy, closed.energy,
+                  rc::kFeasibilityRelTol * closed.energy)
+          << c.expected << " trial " << trial;
     }
   }
 }
